@@ -87,7 +87,6 @@ int main() {
     omen::EngineConfig cfg;
     cfg.num_ranks = ranks;
     cfg.work_stealing = stealing;
-    cfg.flat_single_rank = false;  // honest serial baseline: same protocol
     omen::Engine engine(cfg);
     return engine.run(req);
   };

@@ -5,7 +5,7 @@
 //
 //   $ ./build/distributed_spectrum [ranks]
 //
-// With 1 rank the engine degenerates to the flat in-process loop, so the
+// With 1 rank the same task loop runs on an in-process queue, and the
 // printed spectrum is identical for every rank count.
 #include <cstdio>
 #include <cstdlib>

@@ -44,6 +44,9 @@ LeadBlocks build_lead_blocks(const lattice::Structure& structure,
       1, static_cast<idx>(std::ceil(options.cutoff_nm / lcell)));
 
   const bool periodic_z = structure.periodicity == lattice::Periodicity::kZ;
+  if (periodic_z && !(structure.z_period > 0.0))
+    throw std::invalid_argument(
+        "build_lead_blocks: a z-periodic structure needs z_period > 0");
   const idx mz = periodic_z
                      ? static_cast<idx>(std::ceil(options.cutoff_nm /
                                                   structure.z_period))

@@ -8,10 +8,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "numeric/backend.hpp"
 #include "numeric/device_backend.hpp"
@@ -34,7 +34,7 @@ using parallel::Comm;
 // are identified by Comm::Status, not by per-rank magic tags.
 constexpr int kTagRequest = 901;  ///< {kind, arg}: kind 0 = task (arg =
                                   ///< color), kind 1 = fetch (arg = k)
-constexpr int kTagAssign = 902;   ///< {ik, ie, stolen}; ik < 0 means done
+constexpr int kTagAssign = 902;   ///< {ik, ie}; ik < 0 means done
 constexpr int kTagBlocks = 903;   ///< lead-block streams (init + fetch)
 
 double now_seconds() {
@@ -135,13 +135,16 @@ struct Layout {
 };
 
 /// The shared work queue (coordinator side): per-k deques drained by the
-/// energy-group leaders' pull requests, with stealing from the most-loaded
-/// k once a group's own momenta run dry.
+/// energy-group leaders' pulls, with stealing from the most-loaded k once a
+/// group's own momenta run dry.  Rank 0's leader pulls straight from here;
+/// every other leader pulls through serve_queue's messages, so the two
+/// pickers share the mutex.
 struct Coordinator {
   const Layout& lay;
   bool stealing;
   std::vector<std::deque<idx>> queue;  ///< remaining ie per k
   idx stolen = 0;
+  std::mutex mutex;
 
   Coordinator(const Layout& layout, const SweepRequest& req, bool steal)
       : lay(layout), stealing(steal) {
@@ -154,14 +157,15 @@ struct Coordinator {
     }
   }
 
-  bool pick(int color, idx& ik, idx& ie, bool& was_stolen) {
+  /// The next task for a leader of `color`; false once none is left for it.
+  bool next(int color, idx& ik, idx& ie) {
+    const std::lock_guard lock(mutex);
     for (const idx k : lay.owned[static_cast<std::size_t>(color)]) {
       auto& q = queue[static_cast<std::size_t>(k)];
       if (!q.empty()) {
         ik = k;
         ie = q.front();
         q.pop_front();
-        was_stolen = false;
         return true;
       }
     }
@@ -178,7 +182,7 @@ struct Coordinator {
     ik = static_cast<idx>(best);
     ie = q.back();  // steal from the tail: the owner keeps draining the head
     q.pop_back();
-    was_stolen = true;
+    ++stolen;
     return true;
   }
 };
@@ -273,16 +277,17 @@ transport::ContactSet build_contact_set(
   return transport::ContactSet(std::move(cs));
 }
 
-/// Coordinator service loop: runs on a helper thread next to rank 0's own
-/// worker (point-to-point only — collectives stay on the rank thread).  On
-/// an internal error every leader gets a done marker so the world drains
-/// and rethrows instead of hanging in recv.
+/// Coordinator service loop for the leaders other than rank 0's: runs on a
+/// helper thread next to rank 0's own worker (point-to-point only —
+/// collectives stay on the rank thread), and only when such a leader
+/// exists.  On an internal error every other leader gets a done marker so
+/// the world drains and rethrows instead of hanging in recv.
 void serve_queue(Comm comm, Coordinator& co, const SweepRequest& req,
                  std::exception_ptr& error) {
   const Layout& lay = co.lay;
   int done_sent = 0;
   try {
-    while (done_sent < lay.num_leaders) {
+    while (done_sent < lay.num_leaders - 1) {
       Comm::Status status;
       const auto msg = comm.recv(Comm::kAnySource, kTagRequest, status);
       const int kind = static_cast<int>(msg.at(0));
@@ -295,16 +300,12 @@ void serve_queue(Comm comm, Coordinator& co, const SweepRequest& req,
           send_lead_blocks(comm, status.source, (*req.contact_leads)[m][k]);
         continue;
       }
-      const int color = static_cast<int>(msg.at(1));
       idx ik = 0, ie = 0;
-      bool was_stolen = false;
-      if (co.pick(color, ik, ie, was_stolen)) {
-        if (was_stolen) ++co.stolen;
-        comm.send({static_cast<double>(ik), static_cast<double>(ie),
-                   was_stolen ? 1.0 : 0.0},
+      if (co.next(static_cast<int>(msg.at(1)), ik, ie)) {
+        comm.send({static_cast<double>(ik), static_cast<double>(ie)},
                   status.source, kTagAssign);
       } else {
-        comm.send({-1.0, -1.0, 0.0}, status.source, kTagAssign);
+        comm.send({-1.0, -1.0}, status.source, kTagAssign);
         ++done_sent;
       }
     }
@@ -312,12 +313,12 @@ void serve_queue(Comm comm, Coordinator& co, const SweepRequest& req,
     error = std::current_exception();
     // Sends are buffered, so unsolicited markers are safe: a leader that
     // already finished simply never consumes its extra messages.
-    for (int r = 0; r < lay.world; ++r) {
+    for (int r = 1; r < lay.world; ++r) {
       const int c = lay.color(r);
       const int in_group =
           r - lay.group_first_rank[static_cast<std::size_t>(c)];
       if (in_group % lay.width != 0) continue;
-      comm.send({-1.0, -1.0, 0.0}, r, kTagAssign);
+      comm.send({-1.0, -1.0}, r, kTagAssign);
       // A thief mid-fetch waits on kTagBlocks, not kTagAssign: an
       // empty-lead poison wakes it, its KData build fails on the empty
       // lead, and the leader's stage handler degrades to the drain path.
@@ -331,8 +332,7 @@ void serve_queue(Comm comm, Coordinator& co, const SweepRequest& req,
 }
 
 /// Everything one rank caches for a k point it solves: the lead blocks it
-/// received, the folded/assembled device built from them, and the sweep
-/// worker bound to the rank's warm context.
+/// received and the folded/assembled device built from them.
 struct KData {
   dft::LeadBlocks lead;
   dft::FoldedLead folded;  ///< leaders only; members never run the OBCs
@@ -341,42 +341,57 @@ struct KData {
   std::vector<dft::LeadBlocks> extra_leads;
   std::vector<dft::FoldedLead> extra_folded;
   dft::DeviceMatrices dm;
-  transport::ContactSet contacts;  ///< empty in classic and member mode
-  std::unique_ptr<transport::EnergySweepWorker> worker;  ///< leaders only
-
-  /// `build_worker` = false is the spatial-member variant: members only
-  /// need the assembled device matrices to compute SPIKE partitions of A,
-  /// so the lead folding and the sweep worker are skipped.  `contact_mode`
-  /// routes the worker through the ContactSet entry points; the set points
+  /// Contact-mode leaders only; empty = the classic pair.  The set points
   /// at this KData's own members, which are stable for its lifetime (the
   /// per-rank cache holds KData by unique_ptr).
-  KData(dft::LeadBlocks l, const SweepRequest& req,
-        const transport::EnergyPointOptions& opts,
-        transport::EnergyPointContext& ctx, parallel::DevicePool* pool,
-        const dft::FoldedLead* pre_folded = nullptr, bool build_worker = true,
+  transport::ContactSet contacts;
+
+  /// `leader` = false is the spatial-member variant: members only need the
+  /// assembled device matrices to compute SPIKE partitions of A, so the
+  /// lead folding and the contact set are skipped.
+  KData(dft::LeadBlocks l, const SweepRequest& req, bool leader,
+        const dft::FoldedLead* pre_folded = nullptr,
         std::vector<dft::LeadBlocks> extras = {}, bool contact_mode = false)
       : lead(std::move(l)),
-        folded(build_worker
-                   ? (pre_folded != nullptr ? *pre_folded
-                                            : dft::fold_lead(lead))
-                   : dft::FoldedLead{}),
+        folded(leader ? (pre_folded != nullptr ? *pre_folded
+                                               : dft::fold_lead(lead))
+                      : dft::FoldedLead{}),
         extra_leads(std::move(extras)),
         dm(dft::assemble_device(lead, req.cells, req.potential)) {
-    if (!build_worker) return;
-    if (contact_mode) {
-      extra_folded.reserve(extra_leads.size());
-      for (const dft::LeadBlocks& ex : extra_leads)
-        extra_folded.push_back(dft::fold_lead(ex));
-      contacts =
-          build_contact_set(req, lead, folded, extra_leads, extra_folded);
-      worker = std::make_unique<transport::EnergySweepWorker>(
-          ctx, dm, contacts, opts, pool);
-      return;
-    }
-    worker = std::make_unique<transport::EnergySweepWorker>(
-        ctx, dm, lead, folded, opts, pool);
+    if (!leader || !contact_mode) return;
+    extra_folded.reserve(extra_leads.size());
+    for (const dft::LeadBlocks& ex : extra_leads)
+      extra_folded.push_back(dft::fold_lead(ex));
+    contacts = build_contact_set(req, lead, folded, extra_leads, extra_folded);
   }
 };
+
+/// One wave-function task on the calling thread's context: the ContactSet
+/// entry in contact mode, the classic pair otherwise.
+transport::EnergyPointResult solve_point(const KData& kd, double energy,
+                                         const transport::EnergyPointOptions& o,
+                                         parallel::DevicePool* pool) {
+  return kd.contacts.empty()
+             ? transport::solve_energy_point(kd.dm, kd.lead, kd.folded,
+                                             energy, o, pool)
+             : transport::solve_energy_point(kd.dm, kd.contacts, energy, o,
+                                             pool);
+}
+
+/// One Green's-function (contour) task on the calling thread's context.
+std::vector<numeric::cplx> solve_greens(const KData& kd, numeric::cplx z,
+                                        const transport::EnergyPointOptions& o) {
+  return kd.contacts.empty()
+             ? transport::solve_greens_diagonal(kd.dm, kd.lead, kd.folded, z, o)
+             : transport::solve_greens_diagonal(kd.dm, kd.contacts, z, o);
+}
+
+/// Does the scattering model attach probe terminals to an nb-block device?
+/// Such tasks are multi-terminal solves: never batched, never cooperative.
+bool attaches_probes(const scattering::Spec& spec, idx nb) {
+  return spec.algorithm != scattering::ScatteringAlgorithm::kNone &&
+         !scattering::assemble_probes(spec, nb, {0, nb - 1}).empty();
+}
 
 struct RankLocal {
   std::vector<double> samples;  ///< {flat, T, T_caroli, propagating} each
@@ -386,11 +401,14 @@ struct RankLocal {
   /// run, and a rank-order reduce would make the charge rounding depend on
   /// the race.
   std::vector<double> charge_samples;
+  /// Wall time the rank spent solving: its leader's flushes and
+  /// cooperative solves, a member's served partitions — never more than
+  /// the sweep's wall time, however many pool threads a flush used.
   double busy_seconds = 0.0;
   idx tasks = 0;
   idx greens_tasks = 0;  ///< contour-node solves among `tasks`
-  // Batched-execution accounting (stays zero when the leader ran the
-  // unbatched scalar path, a spatial group, or a non-batchable solver).
+  // Batched-execution accounting (stays zero when the leader flushed no
+  // bucket through the batched pipeline).
   idx batches = 0;          ///< fused backend calls issued
   idx batched_tasks = 0;    ///< tasks that went through those calls
   idx prefetch_hits = 0;    ///< boundary-cache hits during OBC prefetch
@@ -406,25 +424,6 @@ struct RankLocal {
 std::size_t sample_stride(const SweepRequest& req) {
   const std::size_t nc = req.contacts.size();
   return 4 + (nc >= 3 ? nc * nc : 0);
-}
-
-void record_sample(RankLocal& local, const Layout& lay,
-                   const SweepRequest& req, idx ik, idx ie,
-                   const transport::EnergyPointResult& res) {
-  local.samples.push_back(
-      static_cast<double>(lay.e_prefix[static_cast<std::size_t>(ik)] + ie));
-  local.samples.push_back(res.transmission);
-  local.samples.push_back(res.transmission_caroli);
-  local.samples.push_back(static_cast<double>(res.num_propagating));
-  const std::size_t nc = req.contacts.size();
-  if (nc >= 3) {
-    // Zero-padded to the fixed stride so a task whose solve produced no
-    // T matrix (nothing propagates) still parses on the root.
-    const std::size_t want = nc * nc;
-    for (std::size_t i = 0; i < want; ++i)
-      local.samples.push_back(i < res.t_matrix.size() ? res.t_matrix[i]
-                                                      : 0.0);
-  }
 }
 
 /// Per-cell charge of one task.  N-terminal requests sum every contact's
@@ -472,16 +471,13 @@ std::vector<double> weighted_task_charge(
   return out;
 }
 
-void accumulate_charge(RankLocal& local, const SweepRequest& req,
-                       const Layout& lay, const KData& kd, idx ik, idx ie,
-                       const transport::EnergyPointResult& res) {
-  const auto per_cell =
-      weighted_task_charge(req, kd.lead.block_dim(), ik, ie, res);
+void push_charge(RankLocal& local, const Layout& lay, idx ik, idx ie,
+                 const std::vector<double>& per_cell) {
   if (per_cell.empty()) return;
   local.charge_samples.push_back(
       static_cast<double>(lay.e_prefix[static_cast<std::size_t>(ik)] + ie));
-  for (idx c = 0; c < req.cells; ++c)
-    local.charge_samples.push_back(per_cell[static_cast<std::size_t>(c)]);
+  local.charge_samples.insert(local.charge_samples.end(), per_cell.begin(),
+                              per_cell.end());
 }
 
 /// Per-cell charge of one Green's-function node: Im(w * G_ii) summed onto
@@ -495,6 +491,47 @@ std::vector<double> greens_task_charge(const SweepRequest& req, idx block_dim,
   for (std::size_t i = 0; i < diag.size(); ++i)
     out[i / static_cast<std::size_t>(block_dim)] += (weight * diag[i]).imag();
   return out;
+}
+
+/// Record one solved wave-function task: its spectrum sample and charge.
+void record_point(RankLocal& local, const Layout& lay, const SweepRequest& req,
+                  const KData& kd, idx ik, idx ie,
+                  const transport::EnergyPointResult& res) {
+  ++local.tasks;
+  local.samples.push_back(
+      static_cast<double>(lay.e_prefix[static_cast<std::size_t>(ik)] + ie));
+  local.samples.push_back(res.transmission);
+  local.samples.push_back(res.transmission_caroli);
+  local.samples.push_back(static_cast<double>(res.num_propagating));
+  // >= 3 terminals: the pairwise T matrix, zero-padded to the fixed stride
+  // so a task whose solve produced none (nothing propagates) still parses.
+  const std::size_t want = sample_stride(req) - 4;
+  for (std::size_t i = 0; i < want; ++i)
+    local.samples.push_back(i < res.t_matrix.size() ? res.t_matrix[i] : 0.0);
+  push_charge(local, lay, ik, ie,
+              weighted_task_charge(req, kd.lead.block_dim(), ik, ie, res));
+}
+
+/// Record one solved Green's-function task: charge only.
+void record_greens(RankLocal& local, const Layout& lay,
+                   const SweepRequest& req, const KData& kd, idx ik, idx ie,
+                   const std::vector<numeric::cplx>& diag) {
+  ++local.tasks;
+  ++local.greens_tasks;
+  const auto sk = static_cast<std::size_t>(ik);
+  const auto sg = static_cast<std::size_t>(ie - lay.n_real[sk]);
+  push_charge(local, lay, ik, ie,
+              greens_task_charge(req, kd.lead.block_dim(),
+                                 req.gf_weights[sk][sg], diag));
+}
+
+/// The complex energy of task (ik, ie): a real-axis point or a contour node.
+numeric::cplx task_energy(const Layout& lay, const SweepRequest& req, idx ik,
+                          idx ie) {
+  const auto sk = static_cast<std::size_t>(ik);
+  if (lay.is_greens(ik, ie))
+    return req.gf_nodes[sk][static_cast<std::size_t>(ie - lay.n_real[sk])];
+  return {req.energies[sk][static_cast<std::size_t>(ie)], 0.0};
 }
 
 /// Does the request carry any Green's-function nodes?  Drives charge
@@ -837,6 +874,79 @@ void apply_pool_delta(EngineStats& stats, parallel::DevicePool* pool,
   }
 }
 
+/// A rank's counters on the stats wire, kStatsStride doubles.
+constexpr std::size_t kStatsStride = 10;
+std::vector<double> pack_stats(const RankLocal& local) {
+  return {local.busy_seconds,
+          static_cast<double>(local.tasks),
+          static_cast<double>(local.batches),
+          static_cast<double>(local.batched_tasks),
+          static_cast<double>(local.prefetch_hits),
+          static_cast<double>(local.prefetch_misses),
+          static_cast<double>(local.greens_tasks),
+          static_cast<double>(local.device_batches),
+          static_cast<double>(local.residency_hits),
+          static_cast<double>(local.residency_misses)};
+}
+
+/// Root-side assembly from every rank's samples (concatenated in rank
+/// order): spectra scattered by flat task index, charge summed in flat task
+/// order — independent of which rank solved what, since work stealing
+/// moves tasks between ranks run to run — and the per-rank counters
+/// folded into the stats.
+void assemble(const Layout& lay, const SweepRequest& req,
+              const std::vector<double>& samples,
+              const std::vector<double>& charge_samples,
+              const std::vector<double>& rank_stats, idx stolen,
+              SweepResult& out) {
+  const std::size_t stride = sample_stride(req);
+  for (std::size_t i = 0; i + stride <= samples.size(); i += stride) {
+    const auto [ik, ie] = lay.unflatten(static_cast<idx>(samples[i]));
+    const auto sk = static_cast<std::size_t>(ik);
+    const auto se = static_cast<std::size_t>(ie);
+    out.transmission[sk][se] = samples[i + 1];
+    out.caroli[sk][se] = samples[i + 2];
+    out.propagating[sk][se] = static_cast<idx>(samples[i + 3]);
+    // stride > 4 carries the row-major nc x nc pairwise T matrix.
+    for (std::size_t q = 0; q + 4 < stride; ++q)
+      out.t_matrix[sk][se][q] = samples[i + 4 + q];
+  }
+  if (!out.charge.empty()) {
+    const std::size_t rec = 1 + static_cast<std::size_t>(req.cells);
+    std::vector<const double*> per_task(
+        static_cast<std::size_t>(lay.total_tasks), nullptr);
+    for (std::size_t i = 0; i + rec <= charge_samples.size(); i += rec)
+      per_task[static_cast<std::size_t>(charge_samples[i])] =
+          &charge_samples[i + 1];
+    for (const double* pc : per_task)
+      if (pc != nullptr)
+        for (std::size_t c = 0; c < out.charge.size(); ++c)
+          out.charge[c] += pc[c];
+  }
+  EngineStats& st = out.stats;
+  st.ranks = lay.world;
+  st.energy_groups = lay.num_leaders;
+  st.tasks_total = lay.total_tasks;
+  st.tasks_stolen = stolen;
+  idx batched_tasks = 0;
+  for (std::size_t b = 0; b + kStatsStride <= rank_stats.size();
+       b += kStatsStride) {
+    st.busy_seconds_per_rank.push_back(rank_stats[b]);
+    st.tasks_per_rank.push_back(static_cast<idx>(rank_stats[b + 1]));
+    st.batches_issued += static_cast<idx>(rank_stats[b + 2]);
+    batched_tasks += static_cast<idx>(rank_stats[b + 3]);
+    st.prefetch_hits += static_cast<idx>(rank_stats[b + 4]);
+    st.prefetch_misses += static_cast<idx>(rank_stats[b + 5]);
+    st.tasks_greens += static_cast<idx>(rank_stats[b + 6]);
+    st.device_batches += static_cast<idx>(rank_stats[b + 7]);
+    st.residency_hits += static_cast<idx>(rank_stats[b + 8]);
+    st.residency_misses += static_cast<idx>(rank_stats[b + 9]);
+  }
+  if (st.batches_issued > 0)
+    st.mean_batch_size = static_cast<double>(batched_tasks) /
+                         static_cast<double>(st.batches_issued);
+}
+
 }  // namespace
 
 SweepResult Engine::run(const SweepRequest& request) {
@@ -918,9 +1028,7 @@ SweepResult Engine::run(const SweepRequest& request) {
       contact_stats_before.push_back(
           contact_boundary_cache_stats(static_cast<int>(p)));
   const PoolSnapshot snapshot = snapshot_pool(pool_);
-  SweepResult out = (config_.num_ranks == 1 && config_.flat_single_rank)
-                        ? run_flat(request)
-                        : run_distributed(request);
+  SweepResult out = sweep(request);
   apply_pool_delta(out.stats, pool_, snapshot);
   if (!caches_.empty() && nc >= 2) {
     out.stats.contact_cache_stats.resize(nc);
@@ -937,282 +1045,7 @@ SweepResult Engine::run(const SweepRequest& request) {
   return out;
 }
 
-SweepResult Engine::run_flat(const SweepRequest& request) {
-  const double t_start = now_seconds();
-  SweepResult out = shaped_result(request);
-  const Layout lay(request, 1, 1);
-  const std::size_t n = static_cast<std::size_t>(lay.total_tasks);
-  const std::size_t nk = request.energies.size();
-
-  // The flat loop has no spatial sub-communicators; scrub any stale handle
-  // a caller may have left in the options.
-  transport::EnergyPointOptions popt = request.point;
-  popt.spatial = nullptr;
-  // The engine owns the boundary-cache binding: its rank-0 persistent
-  // cache (shared by the pool workers — BoundaryCache is thread-safe), or
-  // nothing when caching is disabled.
-  popt.boundary_cache = rank_cache(0);
-  // Only pay the drain-injection RHS columns when the request carries a
-  // drain-side weight to fold them into.
-  popt.want_density_r = !request.density_weight_r.empty();
-  // Terminal layout: a symmetric classic pair collapses onto the global
-  // contact shift and the entire pre-refactor pipeline below (batching
-  // included) runs unchanged; anything else routes per-task through the
-  // ContactSet entry points.
-  const bool contact_mode = !contacts_are_classic_symmetric(request);
-  if (!request.contacts.empty() && !contact_mode)
-    popt.obc_opts.contact_shift = request.contacts[0].shift;
-  const std::size_t ncon = request.contacts.size();
-
-  // Root-local device assembly, one per k (shared across its energies).
-  // Pre-folded leads from the request are reused as-is.
-  std::vector<dft::FoldedLead> folded_local;
-  const std::vector<dft::FoldedLead>* folded = request.folded;
-  if (folded == nullptr) {
-    folded_local.resize(nk);
-    for (std::size_t k = 0; k < nk; ++k)
-      folded_local[k] = dft::fold_lead((*request.leads)[k]);
-    folded = &folded_local;
-  }
-  std::vector<dft::DeviceMatrices> dms(nk);
-  for (std::size_t k = 0; k < nk; ++k)
-    dms[k] = dft::assemble_device((*request.leads)[k], request.cells,
-                                  request.potential);
-
-  // Contact mode: per-k copies of the extra lead materials, their folds,
-  // and the ContactSet pointing at them (stable — the vectors are fully
-  // built before any set references them).
-  std::vector<std::vector<dft::LeadBlocks>> extra_leads_k;
-  std::vector<std::vector<dft::FoldedLead>> extra_folded_k;
-  std::vector<transport::ContactSet> contact_sets;
-  if (contact_mode) {
-    const std::size_t m_count = num_extra_materials(request);
-    extra_leads_k.resize(nk);
-    extra_folded_k.resize(nk);
-    contact_sets.resize(nk);
-    for (std::size_t k = 0; k < nk; ++k) {
-      for (std::size_t m = 0; m < m_count; ++m) {
-        extra_leads_k[k].push_back((*request.contact_leads)[m][k]);
-        extra_folded_k[k].push_back(dft::fold_lead(extra_leads_k[k].back()));
-      }
-      contact_sets[k] =
-          build_contact_set(request, (*request.leads)[k], (*folded)[k],
-                            extra_leads_k[k], extra_folded_k[k]);
-    }
-  }
-
-  const bool has_greens = request_has_greens(request);
-  const bool want_charge = !request.density_weight.empty() ||
-                           !request.density_weight_contacts.empty() ||
-                           has_greens;
-  std::vector<std::vector<double>> point_charge;
-  if (want_charge) point_charge.resize(n);
-  double busy_total = 0.0;
-  idx greens_done = 0;
-
-  // One Green's-function (contour) task: diagonal of G at the complex node,
-  // folded into per-cell charge with the node's complex weight.
-  const auto solve_greens_flat = [&](std::size_t flat) {
-    const auto [ik, ie] = lay.unflatten(static_cast<idx>(flat));
-    const auto sk = static_cast<std::size_t>(ik);
-    const auto sg =
-        static_cast<std::size_t>(ie - lay.n_real[sk]);
-    transport::EnergyPointOptions task_opt = popt;
-    task_opt.k_index = ik;
-    const auto diag =
-        contact_mode
-            ? transport::solve_greens_diagonal(dms[sk], contact_sets[sk],
-                                               request.gf_nodes[sk][sg],
-                                               task_opt)
-            : transport::solve_greens_diagonal(
-                  dms[sk], (*request.leads)[sk], (*folded)[sk],
-                  request.gf_nodes[sk][sg], task_opt);
-    point_charge[flat] = greens_task_charge(
-        request, (*request.leads)[sk].block_dim(), request.gf_weights[sk][sg],
-        diag);
-  };
-
-  // Batch only when the representative resolution (rank-invariant: the
-  // configured max_batch, the first k's block structure) lands on a solver
-  // that advertises kBatchable; otherwise the per-task thread-pool loop
-  // keeps its across-task parallelism, which the scalar fallback inside
-  // solve_energy_batch would forfeit.
-  // The flat loop is its own leader: one DeviceBackend over the whole pool
-  // (when bound), persistent rank-0 residency, and the configured backend
-  // policy deciding where each shape bucket's device phase runs.
-  std::optional<numeric::DeviceBackend> device_storage;
-  const BackendArbiter arbiter = make_backend_arbiter(
-      config_, device_storage, pool_, rank_residency(0));
-
-  // Classic-mode scattering that attaches probes turns every task into a
-  // multi-terminal solve: the batched classic pipeline no longer applies
-  // (solve_energy_batch would only degrade it back to scalar solves), so
-  // keep the across-task thread-pool parallelism instead.  A model that
-  // attaches nothing (kNone, buttiker at eta <= 0) changes nothing here.
-  const bool scattering_probes =
-      !contact_mode && n > 0 &&
-      popt.scattering.algorithm != scattering::ScatteringAlgorithm::kNone &&
-      !scattering::assemble_probes(popt.scattering, dms[0].h.num_blocks(),
-                                   {0, dms[0].h.num_blocks() - 1})
-           .empty();
-
-  bool use_batches = false;
-  // Contact mode never batches: the batched pipeline is the classic
-  // single-boundary arithmetic, and contact tasks route through the
-  // ContactSet entry points one at a time (still across-task parallel).
-  if (config_.batch_tasks && n > 0 && !contact_mode && !scattering_probes) {
-    const idx nbb = dms[0].h.num_blocks();
-    const idx sbb = dms[0].h.block_size();
-    solvers::SolverContext binding;
-    binding.pool = pool_;
-    binding.partitions = popt.partitions;
-    binding.batch = std::max(1, config_.max_batch);
-    binding.backend = &arbiter.choose(nbb, sbb);
-    const auto algo =
-        solvers::resolve_algorithm(popt.solver, nbb, sbb, 2 * sbb, binding);
-    use_batches =
-        (solvers::algorithm_capabilities(algo) & solvers::kBatchable) != 0;
-  }
-
-  if (use_batches) {
-    // Bucket flat tasks by block structure *and task kind*: batching fuses
-    // kernels within one shape, never across shapes, and Green's-function
-    // nodes never fuse with wave-function points (they are scalar RGF
-    // diagonal solves, executed below with across-task parallelism
-    // instead).  Buckets preserve flat order, so the per-task outputs (and
-    // the charge assembly below) stay deterministic.
-    std::map<std::tuple<idx, idx, bool>, std::vector<std::size_t>> buckets;
-    for (std::size_t flat = 0; flat < n; ++flat) {
-      const auto [ik, ie] = lay.unflatten(static_cast<idx>(flat));
-      const auto sk = static_cast<std::size_t>(ik);
-      buckets[{dms[sk].h.num_blocks(), dms[sk].h.block_size(),
-               lay.is_greens(ik, ie)}]
-          .push_back(flat);
-    }
-    const std::size_t cap =
-        static_cast<std::size_t>(std::max(1, config_.max_batch));
-    transport::BatchContext bctx;
-    transport::BatchStats bstats;
-    for (const auto& [shape, flats] : buckets) {
-      if (std::get<2>(shape)) {
-        // Green's-function bucket: thread-pool loop over the nodes, each
-        // worker on its own warm context.
-        std::vector<double> busy(flats.size(), 0.0);
-        parallel::ThreadPool::global().parallel_for(
-            flats.size(), [&](std::size_t j) {
-              const double t0 = now_seconds();
-              solve_greens_flat(flats[j]);
-              busy[j] = now_seconds() - t0;
-            });
-        busy_total += std::accumulate(busy.begin(), busy.end(), 0.0);
-        greens_done += static_cast<idx>(flats.size());
-        continue;
-      }
-      // The whole shape bucket lands on one backend: host lanes or device
-      // streams, by policy/crossover.  Either way the per-item kernels are
-      // identical, so the spectra cannot depend on the choice.
-      numeric::Backend& bucket_backend =
-          arbiter.choose(std::get<0>(shape), std::get<1>(shape));
-      for (std::size_t base = 0; base < flats.size(); base += cap) {
-        const std::size_t count = std::min(cap, flats.size() - base);
-        std::vector<transport::BatchTask> chunk;
-        chunk.reserve(count);
-        for (std::size_t j = 0; j < count; ++j) {
-          const auto [ik, ie] =
-              lay.unflatten(static_cast<idx>(flats[base + j]));
-          const auto sk = static_cast<std::size_t>(ik);
-          const auto se = static_cast<std::size_t>(ie);
-          chunk.push_back({ik, request.energies[sk][se], &dms[sk],
-                           &(*request.leads)[sk], &(*folded)[sk]});
-        }
-        const double t0 = now_seconds();
-        const auto res = transport::solve_energy_batch(
-            bctx, chunk, popt, pool_, bucket_backend,
-            config_.max_batch, &bstats);
-        busy_total += now_seconds() - t0;
-        for (std::size_t j = 0; j < count; ++j) {
-          const std::size_t flat = flats[base + j];
-          const auto [ik, ie] = lay.unflatten(static_cast<idx>(flat));
-          const auto sk = static_cast<std::size_t>(ik);
-          const auto se = static_cast<std::size_t>(ie);
-          out.transmission[sk][se] = res[j].transmission;
-          out.caroli[sk][se] = res[j].transmission_caroli;
-          out.propagating[sk][se] = res[j].num_propagating;
-          if (want_charge)
-            point_charge[flat] = weighted_task_charge(
-                request, (*request.leads)[sk].block_dim(), ik, ie, res[j]);
-        }
-      }
-    }
-    if (bstats.batched_solve) {
-      out.stats.batches_issued = bstats.batches;
-      if (bstats.batches > 0)
-        out.stats.mean_batch_size = static_cast<double>(bstats.tasks) /
-                                    static_cast<double>(bstats.batches);
-    }
-    out.stats.prefetch_hits = bstats.prefetch_hits;
-    out.stats.prefetch_misses = bstats.prefetch_misses;
-    out.stats.device_batches = bstats.device_batches;
-    out.stats.residency_hits = bstats.residency_hits;
-    out.stats.residency_misses = bstats.residency_misses;
-  } else {
-    // The flat (k, E) thread-pool loop the simulator always ran, with
-    // per-worker warm contexts.
-    std::vector<double> busy(n, 0.0);
-    parallel::ThreadPool::global().parallel_for(n, [&](std::size_t flat) {
-      const auto [ik, ie] = lay.unflatten(static_cast<idx>(flat));
-      const double t0 = now_seconds();
-      if (lay.is_greens(ik, ie)) {
-        solve_greens_flat(flat);
-        busy[flat] = now_seconds() - t0;
-        return;
-      }
-      const auto sk = static_cast<std::size_t>(ik);
-      const auto se = static_cast<std::size_t>(ie);
-      // The cache key's momentum component is the global k index.
-      transport::EnergyPointOptions task_opt = popt;
-      task_opt.k_index = ik;
-      const auto res =
-          contact_mode
-              ? transport::solve_energy_point(dms[sk], contact_sets[sk],
-                                              request.energies[sk][se],
-                                              task_opt, pool_)
-              : transport::solve_energy_point(
-                    dms[sk], (*request.leads)[sk], (*folded)[sk],
-                    request.energies[sk][se], task_opt, pool_);
-      busy[flat] = now_seconds() - t0;
-      out.transmission[sk][se] = res.transmission;
-      out.caroli[sk][se] = res.transmission_caroli;
-      out.propagating[sk][se] = res.num_propagating;
-      if (ncon >= 3 && !res.t_matrix.empty())
-        out.t_matrix[sk][se] = res.t_matrix;
-      if (want_charge)
-        point_charge[flat] = weighted_task_charge(
-            request, (*request.leads)[sk].block_dim(), ik, ie, res);
-    });
-    busy_total = std::accumulate(busy.begin(), busy.end(), 0.0);
-    for (idx k = 0; k < static_cast<idx>(nk); ++k)
-      if (!request.gf_nodes.empty())
-        greens_done +=
-            static_cast<idx>(request.gf_nodes[static_cast<std::size_t>(k)]
-                                 .size());
-  }
-  // Deterministic charge assembly: sum in flat task order.
-  for (std::size_t flat = 0; flat < point_charge.size(); ++flat)
-    for (std::size_t c = 0; c < point_charge[flat].size(); ++c)
-      out.charge[c] += point_charge[flat][c];
-
-  out.stats.ranks = 1;
-  out.stats.energy_groups = 1;
-  out.stats.tasks_total = lay.total_tasks;
-  out.stats.tasks_greens = greens_done;
-  out.stats.tasks_per_rank = {lay.total_tasks};
-  out.stats.busy_seconds_per_rank = {busy_total};
-  out.stats.wall_seconds = now_seconds() - t_start;
-  return out;
-}
-
-SweepResult Engine::run_distributed(const SweepRequest& request) {
+SweepResult Engine::sweep(const SweepRequest& request) {
   const double t_start = now_seconds();
   SweepResult out = shaped_result(request);
   const Layout lay(request, config_.num_ranks,
@@ -1223,11 +1056,10 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
   // pipeline; contact mode threads ContactSets through the leaders.
   const bool contact_mode = !contacts_are_classic_symmetric(request);
   const std::size_t m_count = num_extra_materials(request);
-  const std::size_t stride = sample_stride(request);
+  const bool want_charge = !out.charge.empty();
 
-  parallel::CommWorld world(config_.num_ranks);
   std::exception_ptr service_error;
-  world.run([&](Comm& comm) {
+  parallel::CommWorld(config_.num_ranks).run([&](Comm& comm) {
     const int wr = comm.rank();
     const int my_color = lay.color(wr);
     // A failing rank must not abandon the protocol: it records the error,
@@ -1247,7 +1079,9 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
     // --- input distribution (momentum level) ---------------------------
     // The root pushes each momentum-group leader the blocks of its owned
     // k points; sends are buffered, so this cannot deadlock with the
-    // coordinator service started right after.
+    // coordinator service started right after.  Rank 0's own leader pulls
+    // from the coordinator directly, so a world whose only leader is rank 0
+    // (size 1 included) sends no queue message and starts no service.
     std::thread service;
     if (wr == 0) {
       for (int c = 0; c < lay.num_groups; ++c) {
@@ -1265,11 +1099,13 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
                 (*request.contact_leads)[m][static_cast<std::size_t>(k)]);
         }
       }
-      Comm service_comm = comm;  // same rank, shared mailboxes
-      service = std::thread(
-          [&co, &request, &service_error, service_comm]() mutable {
-            serve_queue(service_comm, co, request, service_error);
-          });
+      if (lay.num_leaders > 1) {
+        Comm service_comm = comm;  // same rank, shared mailboxes
+        service = std::thread(
+            [&co, &request, &service_error, service_comm]() mutable {
+              serve_queue(service_comm, co, request, service_error);
+            });
+      }
     }
 
     // The guarded section spans everything between the service spawn and
@@ -1326,8 +1162,8 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
       // survives across run() calls, so repeated sweeps — the SCF outer
       // loop — reuse this rank's lead eigenproblem solves.
       popt.boundary_cache = rank_cache(wr);
-      // Mirrors run_flat: drain-injection columns only when there is a
-      // drain-side weight to consume them.
+      // Drain-injection columns only when there is a drain-side weight to
+      // consume them.
       popt.want_density_r = !request.density_weight_r.empty();
       // Symmetric classic contacts collapse onto the global shift (the
       // classic cache keys, batching, and spatial protocol all apply);
@@ -1352,19 +1188,24 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
       // broadcast.  Energy-group leaders fold/assemble them to solve;
       // members of a spatial group assemble them too — they need their own
       // device matrices to compute SPIKE partitions of A per task.
-      transport::EnergyPointContext ctx;
       std::map<idx, std::unique_ptr<KData>> cache;
+      // The root folded its leads when the simulator was built (and the SCF
+      // loop sweeps the same ones dozens of times); its leader reuses them
+      // instead of re-folding per run.
+      const auto pre_folded = [&](idx k) -> const dft::FoldedLead* {
+        return wr == 0 && request.folded != nullptr
+                   ? &(*request.folded)[static_cast<std::size_t>(k)]
+                   : nullptr;
+      };
       for (const idx k : lay.owned[static_cast<std::size_t>(my_color)]) {
+        const auto sk = static_cast<std::size_t>(k);
         dft::LeadBlocks lead;
         std::vector<dft::LeadBlocks> extras(m_count);
         if (k_comm.rank() == 0 && rank_error == nullptr) {
           try {
-            lead = wr == 0 ? (*request.leads)[static_cast<std::size_t>(k)]
-                           : recv_lead_blocks(comm, 0);
+            lead = wr == 0 ? (*request.leads)[sk] : recv_lead_blocks(comm, 0);
             for (std::size_t m = 0; m < m_count; ++m)
-              extras[m] = wr == 0 ? (*request.contact_leads)[m]
-                                                            [static_cast<
-                                                                std::size_t>(k)]
+              extras[m] = wr == 0 ? (*request.contact_leads)[m][sk]
                                   : recv_lead_blocks(comm, 0);
           } catch (...) {
             rank_error = std::current_exception();
@@ -1380,21 +1221,8 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
         for (auto& ex : extras) broadcast_lead_blocks(k_comm, ex);
         if ((!leader && !spatial_group) || rank_error != nullptr) continue;
         try {
-          // The root folded its leads when the simulator was built (and
-          // the SCF loop sweeps the same ones dozens of times); its leader
-          // reuses them instead of re-folding per run.
-          const dft::FoldedLead* pre =
-              wr == 0 && request.folded != nullptr
-                  ? &(*request.folded)[static_cast<std::size_t>(k)]
-                  : nullptr;
-          // The worker's boundary-cache key carries the *global* k index:
-          // stolen tasks land in the thief's cache under the owner's k, so
-          // two momenta sharing an energy can never alias.
-          transport::EnergyPointOptions kopt = popt;
-          kopt.k_index = k;
           cache.emplace(k, std::make_unique<KData>(std::move(lead), request,
-                                                   kopt, ctx, my_pool, pre,
-                                                   /*build_worker=*/leader,
+                                                   leader, pre_folded(k),
                                                    std::move(extras),
                                                    contact_mode));
         } catch (...) {
@@ -1404,88 +1232,160 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
 
       // --- energy level: pull tasks until the coordinator says done ----
       if (leader) {
-        // Non-spatial leaders accumulate assignments into a same-shape
-        // bucket and flush it through the batched pipeline: on capacity,
-        // on a block-structure change (a stolen k with different blocks),
-        // and at protocol end.  Stolen blocks are still fetched at
-        // accumulation time, so the fetch rides ahead of the flush.
-        // Spatial groups solve cooperatively, one point at a time; contact
-        // mode routes every task through the ContactSet entry points
-        // (never the batched classic pipeline).
-        // An active scattering model disqualifies batching outright (the
-        // device shape is unknown until a task's blocks arrive, so this is
-        // spec-level, conservative): attached probes would only degrade
-        // the batch to serial scalar solves inside solve_energy_batch.
-        const bool use_batches =
-            config_.batch_tasks && !spatial_group && !contact_mode &&
-            popt.scattering.algorithm ==
-                scattering::ScatteringAlgorithm::kNone;
-        const std::size_t batch_cap =
-            static_cast<std::size_t>(std::max(1, config_.max_batch));
-        // This leader's backend policy over its accelerator slice.  The
-        // residency cache is the rank's persistent one, so operands staged
-        // in this sweep hit residency in the next (SCF iterations).
-        std::optional<numeric::DeviceBackend> device_storage;
-        std::optional<BackendArbiter> arbiter;
-        if (use_batches)
-          arbiter = make_backend_arbiter(config_, device_storage, my_pool,
-                                         rank_residency(wr));
+        // Rank 0 picks from the coordinator it owns; every other leader
+        // asks the service thread.
+        const auto pull = [&](idx& ik, idx& ie) {
+          if (wr == 0) return co.next(my_color, ik, ie);
+          comm.send({0.0, static_cast<double>(my_color)}, 0, kTagRequest);
+          const auto assign = comm.recv(0, kTagAssign);
+          ik = static_cast<idx>(assign.at(0));
+          ie = static_cast<idx>(assign.at(1));
+          return ik >= 0;
+        };
+        // A stolen k's blocks: rank 0 reads the request, everyone else
+        // fetches them from the coordinator, once.
+        const auto load_stolen = [&](idx ik) {
+          const auto sk = static_cast<std::size_t>(ik);
+          dft::LeadBlocks lead;
+          std::vector<dft::LeadBlocks> extras(m_count);
+          if (wr == 0) {
+            lead = (*request.leads)[sk];
+            for (std::size_t m = 0; m < m_count; ++m)
+              extras[m] = (*request.contact_leads)[m][sk];
+          } else {
+            comm.send({1.0, static_cast<double>(ik)}, 0, kTagRequest);
+            lead = recv_lead_blocks(comm, 0);
+            for (std::size_t m = 0; m < m_count; ++m)
+              extras[m] = recv_lead_blocks(comm, 0);
+          }
+          return cache
+              .emplace(ik, std::make_unique<KData>(
+                               std::move(lead), request, /*leader=*/true,
+                               pre_folded(ik), std::move(extras),
+                               contact_mode))
+              .first;
+        };
+        // Options of one task: the boundary-cache key carries the *global*
+        // k index, so stolen tasks land in the thief's cache under the
+        // owner's k and two momenta sharing an energy never alias.
+        const auto task_options = [&](idx ik) {
+          transport::EnergyPointOptions o = popt;
+          o.k_index = ik;
+          return o;
+        };
+
+        // --- the bucketed flush (every leader outside a spatial group) --
+        // Tasks queue into one pending bucket keyed by (block shape, task
+        // kind) and flush on a key change, at capacity, and at protocol
+        // end.  A wave-function bucket whose resolved solver advertises
+        // kBatchable goes through the batched pipeline; every other bucket
+        // — contour nodes, contact-mode tasks, attached probes,
+        // non-batchable solvers — runs as one thread-pool loop on the
+        // workers' thread-local contexts.  Either way each task computes
+        // the same arithmetic, so results cannot depend on the bucketing.
         struct PendingTask {
           idx ik, ie;
           const KData* kd;
         };
         std::vector<PendingTask> pending;
-        idx pending_nb = 0, pending_s = 0;
+        std::tuple<idx, idx, bool> pending_key{0, 0, false};
+        bool pending_batched = false;
+        const std::size_t cap =
+            static_cast<std::size_t>(std::max(1, config_.max_batch));
+        // A thread-pool bucket holds a batch per pool thread of this
+        // leader's share of the pool: larger buckets at size 1 cut the
+        // per-flush synchronisation, while with many leaders the pulls
+        // stay fine-grained enough for stealing to balance them.
+        const std::size_t loop_cap =
+            cap * std::max<std::size_t>(
+                      1, parallel::ThreadPool::global().num_threads() /
+                             static_cast<std::size_t>(lay.num_leaders));
         transport::BatchContext bctx;
-        const auto flush_pending = [&]() {
+        // This leader's backend policy over its accelerator slice, built on
+        // first use.  The residency cache is the rank's persistent one, so
+        // operands staged in this sweep hit residency in the next.
+        std::optional<numeric::DeviceBackend> device_storage;
+        std::optional<BackendArbiter> arbiter;
+        const auto backend_for = [&](idx nb, idx s) -> numeric::Backend& {
+          if (!arbiter.has_value())
+            arbiter = make_backend_arbiter(config_, device_storage, my_pool,
+                                           rank_residency(wr));
+          return arbiter->choose(nb, s);
+        };
+        const auto batchable = [&](idx nb, idx s) {
+          if (!config_.batch_tasks || contact_mode ||
+              attaches_probes(popt.scattering, nb))
+            return false;
+          solvers::SolverContext binding;
+          binding.pool = my_pool;
+          binding.partitions = popt.partitions;
+          binding.batch = static_cast<int>(cap);
+          binding.backend = &backend_for(nb, s);
+          const auto algo = solvers::resolve_algorithm(popt.solver, nb, s,
+                                                       2 * s, binding);
+          return (solvers::algorithm_capabilities(algo) &
+                  solvers::kBatchable) != 0;
+        };
+        const auto flush = [&]() {
           if (pending.empty()) return;
-          std::vector<PendingTask> batch;
-          batch.swap(pending);
+          std::vector<PendingTask> bucket;
+          bucket.swap(pending);
           if (rank_error != nullptr) return;  // drained, not solved
           try {
-            std::vector<transport::BatchTask> bt;
-            bt.reserve(batch.size());
-            for (const PendingTask& p : batch)
-              bt.push_back({p.ik,
-                            request.energies[static_cast<std::size_t>(p.ik)]
-                                            [static_cast<std::size_t>(p.ie)],
-                            &p.kd->dm, &p.kd->lead, &p.kd->folded});
-            // The flushed bucket's shape is (pending_nb, pending_s) — set
-            // when its tasks were queued, before any shape change flushes.
-            numeric::Backend& bucket_backend =
-                arbiter.has_value() ? arbiter->choose(pending_nb, pending_s)
-                                    : numeric::host_backend();
-            transport::BatchStats bs;
+            const auto [nb, s, greens] = pending_key;
+            const std::size_t n = bucket.size();
             const double t0 = now_seconds();
-            const auto res = transport::solve_energy_batch(
-                bctx, bt, popt, my_pool, bucket_backend,
-                config_.max_batch, &bs);
-            local.busy_seconds += now_seconds() - t0;
-            local.tasks += static_cast<idx>(batch.size());
-            if (bs.batched_solve) {
-              local.batches += bs.batches;
-              local.batched_tasks += bs.tasks;
+            if (pending_batched) {
+              std::vector<transport::BatchTask> bt;
+              bt.reserve(n);
+              for (const PendingTask& p : bucket)
+                bt.push_back({p.ik, task_energy(lay, request, p.ik, p.ie).real(),
+                              &p.kd->dm, &p.kd->lead, &p.kd->folded});
+              transport::BatchStats bs;
+              const auto res = transport::solve_energy_batch(
+                  bctx, bt, popt, my_pool, backend_for(nb, s),
+                  config_.max_batch, &bs);
+              local.busy_seconds += now_seconds() - t0;
+              if (bs.batched_solve) {
+                local.batches += bs.batches;
+                local.batched_tasks += bs.tasks;
+              }
+              local.prefetch_hits += bs.prefetch_hits;
+              local.prefetch_misses += bs.prefetch_misses;
+              local.device_batches += bs.device_batches;
+              local.residency_hits += bs.residency_hits;
+              local.residency_misses += bs.residency_misses;
+              for (std::size_t j = 0; j < n; ++j)
+                record_point(local, lay, request, *bucket[j].kd, bucket[j].ik,
+                             bucket[j].ie, res[j]);
+              return;
             }
-            local.prefetch_hits += bs.prefetch_hits;
-            local.prefetch_misses += bs.prefetch_misses;
-            local.device_batches += bs.device_batches;
-            local.residency_hits += bs.residency_hits;
-            local.residency_misses += bs.residency_misses;
-            for (std::size_t j = 0; j < batch.size(); ++j) {
-              record_sample(local, lay, request, batch[j].ik, batch[j].ie,
-                            res[j]);
-              accumulate_charge(local, request, lay, *batch[j].kd,
-                                batch[j].ik, batch[j].ie, res[j]);
+            std::vector<transport::EnergyPointResult> res(greens ? 0 : n);
+            std::vector<std::vector<numeric::cplx>> diag(greens ? n : 0);
+            parallel::ThreadPool::global().parallel_for(n, [&](std::size_t j) {
+              const PendingTask& p = bucket[j];
+              const numeric::cplx z = task_energy(lay, request, p.ik, p.ie);
+              if (greens)
+                diag[j] = solve_greens(*p.kd, z, task_options(p.ik));
+              else
+                res[j] = solve_point(*p.kd, z.real(), task_options(p.ik),
+                                     my_pool);
+            });
+            local.busy_seconds += now_seconds() - t0;
+            for (std::size_t j = 0; j < n; ++j) {
+              const PendingTask& p = bucket[j];
+              if (greens)
+                record_greens(local, lay, request, *p.kd, p.ik, p.ie, diag[j]);
+              else
+                record_point(local, lay, request, *p.kd, p.ik, p.ie, res[j]);
             }
           } catch (...) {
             rank_error = std::current_exception();
           }
         };
-        for (;;) {
-          comm.send({0.0, static_cast<double>(my_color)}, 0, kTagRequest);
-          const auto assign = comm.recv(0, kTagAssign);
-          const auto ik = static_cast<idx>(assign.at(0));
-          if (ik < 0) break;
+
+        idx ik = 0, ie = 0;
+        while (pull(ik, ie)) {
           if (rank_error != nullptr) {
             // Drain, don't solve — and stop announcing tasks so the
             // members exit their service loop instead of waiting for a
@@ -1495,171 +1395,106 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
             continue;
           }
           try {
-            const auto ie = static_cast<idx>(assign.at(1));
             auto it = cache.find(ik);
-            bool fetched = false;
-            if (it == cache.end()) {
-              // Stolen k: fetch its blocks from the coordinator, once.
-              comm.send({1.0, static_cast<double>(ik)}, 0, kTagRequest);
-              const dft::FoldedLead* pre =
-                  wr == 0 && request.folded != nullptr
-                      ? &(*request.folded)[static_cast<std::size_t>(ik)]
-                      : nullptr;
-              transport::EnergyPointOptions kopt = popt;
-              kopt.k_index = ik;
-              dft::LeadBlocks stolen = recv_lead_blocks(comm, 0);
-              std::vector<dft::LeadBlocks> stolen_extras(m_count);
-              for (std::size_t m = 0; m < m_count; ++m)
-                stolen_extras[m] = recv_lead_blocks(comm, 0);
-              it = cache
-                       .emplace(ik, std::make_unique<KData>(
-                                        std::move(stolen), request, kopt,
-                                        ctx, my_pool, pre,
-                                        /*build_worker=*/true,
-                                        std::move(stolen_extras),
-                                        contact_mode))
-                       .first;
-              fetched = true;
-            }
+            const bool fetched = it == cache.end();
+            if (fetched) it = load_stolen(ik);
+            const KData& kd = *it->second;
             const bool is_gf = lay.is_greens(ik, ie);
-            if (use_batches && !is_gf) {
-              const KData& kd = *it->second;
-              const idx nbb = kd.dm.h.num_blocks();
-              const idx sbb = kd.dm.h.block_size();
-              if (!pending.empty() &&
-                  (nbb != pending_nb || sbb != pending_s))
-                flush_pending();
-              pending_nb = nbb;
-              pending_s = sbb;
+            const idx nbb = kd.dm.h.num_blocks();
+            const idx sbb = kd.dm.h.block_size();
+            if (!spatial_group) {
+              const std::tuple<idx, idx, bool> key{nbb, sbb, is_gf};
+              if (!pending.empty() && key != pending_key) flush();
+              if (pending.empty()) {
+                pending_key = key;
+                pending_batched = !is_gf && batchable(nbb, sbb);
+              }
               pending.push_back({ik, ie, &kd});
-              if (pending.size() >= batch_cap) flush_pending();
+              if (pending.size() >= (pending_batched ? cap : loop_cap))
+                flush();
               continue;
             }
-            const auto sik = static_cast<std::size_t>(ik);
-            const numeric::cplx z =
-                is_gf ? request.gf_nodes[sik][static_cast<std::size_t>(
-                            ie - lay.n_real[sik])]
-                      : numeric::cplx{
-                            request.energies[sik][static_cast<std::size_t>(ie)],
-                            0.0};
             // --- spatial level: announce the task to the group ---------
-            // The resolved backend travels with the task: members follow
-            // the leader's choice (kAuto resolution is pure, but a member
-            // that lost its inputs could not resolve locally — with the
-            // algorithm on the wire it can still honor the protocol by
-            // sending placeholder partitions).  The announcement also
-            // carries the boundary-cache key — (global ik, ie, contact
-            // shift) — which members adopt into their task options, so
-            // every rank of the group labels the task by the leader's key
-            // no matter whose queue pull (or steal) produced it.
-            if (spatial_group) {
-              solvers::SolverContext binding;
-              binding.pool = my_pool;
-              binding.partitions = popt.partitions;
-              binding.spatial = &e_comm;
-              const idx nbb = it->second->dm.h.num_blocks();
-              const idx sbb = it->second->dm.h.block_size();
-              // GF nodes announce the (non-cooperative) RGF diagonal: the
-              // members run the fetched-blocks broadcast and skip the
-              // solve, exactly like a statically requested RGF task.  So
-              // do multi-terminal attachments (>= 3 contacts or interior
-              // blocks): solve_attached never splits spatially, and the
-              // members must not wait to serve a cooperative solve the
-              // leader runs solo.  A dissimilar classic pair still routes
-              // through solve_boundary and may cooperate.
-              // Classic tasks whose scattering model attaches probes also
-              // run solo: the solve delegates to the multi-terminal path,
-              // which never splits spatially.
-              const bool solo =
-                  is_gf ||
-                  (contact_mode && !classic_pair_blocks(request, nbb)) ||
-                  (!contact_mode &&
-                   popt.scattering.algorithm !=
-                       scattering::ScatteringAlgorithm::kNone &&
-                   !scattering::assemble_probes(popt.scattering, nbb,
-                                                {0, nbb - 1})
-                        .empty());
-              const auto algo =
-                  solo ? solvers::SolverAlgorithm::kRgf
-                       : solvers::resolve_algorithm(popt.solver, nbb, sbb,
-                                                    2 * sbb, binding);
-              std::vector<double> task{
-                  1.0, static_cast<double>(ik), static_cast<double>(ie),
-                  fetched ? 1.0 : 0.0,
-                  static_cast<double>(static_cast<int>(algo)),
-                  popt.obc_opts.contact_shift, z.real(), z.imag()};
-              e_comm.bcast(task, 0);
-              // A stolen k's blocks reach the members through the group,
-              // mirroring the owned-k broadcast at input distribution.
-              if (fetched) broadcast_lead_blocks(e_comm, it->second->lead);
-            }
-            if (is_gf) {
-              transport::EnergyPointOptions gopt = popt;
-              gopt.k_index = ik;
-              gopt.spatial = nullptr;  // the RGF diagonal is a solo solve
-              const double t0 = now_seconds();
-              const auto diag =
-                  contact_mode
-                      ? it->second->worker->solve_greens(z, gopt)
-                      : transport::solve_greens_diagonal(
-                            ctx, it->second->dm, it->second->lead,
-                            it->second->folded, z, gopt);
-              local.busy_seconds += now_seconds() - t0;
-              ++local.tasks;
-              ++local.greens_tasks;
-              const auto sg = static_cast<std::size_t>(ie - lay.n_real[sik]);
-              local.charge_samples.push_back(static_cast<double>(
-                  lay.e_prefix[sik] + ie));
-              const auto per_cell = greens_task_charge(
-                  request, it->second->lead.block_dim(),
-                  request.gf_weights[sik][sg], diag);
-              local.charge_samples.insert(local.charge_samples.end(),
-                                          per_cell.begin(), per_cell.end());
-              continue;
-            }
-            const double energy =
-                request.energies[static_cast<std::size_t>(ik)]
-                                [static_cast<std::size_t>(ie)];
+            // Cooperative tasks solve one at a time.  The resolved backend
+            // travels with the task: members follow the leader's choice
+            // (kAuto resolution is pure, but a member that lost its inputs
+            // could not resolve locally — with the algorithm on the wire
+            // it can still honor the protocol by sending placeholder
+            // partitions).  The announcement also carries the
+            // boundary-cache key — (global ik, ie, contact shift) — which
+            // members adopt into their task options, so every rank of the
+            // group labels the task by the leader's key no matter whose
+            // queue pull (or steal) produced it.
+            const numeric::cplx z = task_energy(lay, request, ik, ie);
+            solvers::SolverContext binding;
+            binding.pool = my_pool;
+            binding.partitions = popt.partitions;
+            binding.spatial = &e_comm;
+            // GF nodes announce the (non-cooperative) RGF diagonal: the
+            // members run the fetched-blocks broadcast and skip the solve,
+            // exactly like a statically requested RGF task.  So do
+            // multi-terminal attachments (>= 3 contacts, interior blocks,
+            // or probes attached by the scattering model): solve_attached
+            // never splits spatially, and the members must not wait to
+            // serve a cooperative solve the leader runs solo.  A dissimilar
+            // classic pair still routes through solve_boundary and may
+            // cooperate.
+            const bool solo =
+                is_gf ||
+                (contact_mode && !classic_pair_blocks(request, nbb)) ||
+                (!contact_mode && attaches_probes(popt.scattering, nbb));
+            const auto algo =
+                solo ? solvers::SolverAlgorithm::kRgf
+                     : solvers::resolve_algorithm(popt.solver, nbb, sbb,
+                                                  2 * sbb, binding);
+            std::vector<double> task{
+                1.0, static_cast<double>(ik), static_cast<double>(ie),
+                fetched ? 1.0 : 0.0,
+                static_cast<double>(static_cast<int>(algo)),
+                popt.obc_opts.contact_shift, z.real(), z.imag()};
+            e_comm.bcast(task, 0);
+            // A stolen k's blocks reach the members through the group,
+            // mirroring the owned-k broadcast at input distribution.
+            if (fetched) broadcast_lead_blocks(e_comm, it->second->lead);
             const double t0 = now_seconds();
-            const auto res = it->second->worker->solve(energy);
-            local.busy_seconds += now_seconds() - t0;
-            ++local.tasks;
-            record_sample(local, lay, request, ik, ie, res);
-            accumulate_charge(local, request, lay, *it->second, ik, ie, res);
+            if (is_gf) {
+              transport::EnergyPointOptions gopt = task_options(ik);
+              gopt.spatial = nullptr;  // the RGF diagonal is a solo solve
+              const auto diag = solve_greens(kd, z, gopt);
+              local.busy_seconds += now_seconds() - t0;
+              record_greens(local, lay, request, kd, ik, ie, diag);
+            } else {
+              const auto res =
+                  solve_point(kd, z.real(), task_options(ik), my_pool);
+              local.busy_seconds += now_seconds() - t0;
+              record_point(local, lay, request, kd, ik, ie, res);
+            }
           } catch (...) {
             rank_error = std::current_exception();
           }
         }
-        flush_pending();  // the tail bucket the done marker cut short
+        flush();  // the tail bucket the done marker cut short
         protocol_done = true;
         release_members();
       } else if (spatial_group) {
         // --- spatial members: serve the group's cooperative solves -----
+        transport::EnergyPointContext ctx;
         for (;;) {
           std::vector<double> task;
           e_comm.bcast(task, 0);
           if (task.size() < 8 || task[0] < 0.0) break;
           const auto ik = static_cast<idx>(task[1]);
-          const auto ie = static_cast<idx>(task[2]);
           const bool fetched = task[3] != 0.0;
           const auto algo = static_cast<solvers::SolverAlgorithm>(
               static_cast<int>(task[4]));
-          // Adopt the leader's cache key: today the member's own options
-          // carry the same shift (one request per run), but the announced
-          // value is authoritative for the task.
-          const double task_shift = task[5];
           if (fetched) {
             dft::LeadBlocks lead;
             broadcast_lead_blocks(e_comm, lead);
             if (rank_error == nullptr && cache.find(ik) == cache.end()) {
               try {
-                transport::EnergyPointOptions kopt = popt;
-                kopt.k_index = ik;
-                kopt.obc_opts.contact_shift = task_shift;
-                cache.emplace(ik, std::make_unique<KData>(
-                                      std::move(lead), request, kopt, ctx,
-                                      my_pool, nullptr,
-                                      /*build_worker=*/false));
+                cache.emplace(ik, std::make_unique<KData>(std::move(lead),
+                                                          request,
+                                                          /*leader=*/false));
               } catch (...) {
                 rank_error = std::current_exception();
               }
@@ -1695,7 +1530,7 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
     // The leader may have left the guarded section with its members still
     // waiting: release them (best effort — the marker is tiny).
     release_members();
-    if (leader && !protocol_done) {
+    if (leader && !protocol_done && wr != 0) {
       // The exception escaped before (or inside) the pull loop: count this
       // leader out with the coordinator so rank 0 can join the service
       // thread.  Best effort — the drain messages are tiny.
@@ -1707,81 +1542,20 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
       } catch (...) {
       }
     }
-    if (wr == 0) service.join();
+    if (service.joinable()) service.join();
 
-    // --- assembly: rooted collectives ----------------------------------
-    const auto gathered = comm.gatherv(local.samples, 0);
-    std::vector<double> charge_gathered;
-    const bool want_charge = !request.density_weight.empty() ||
-                             !request.density_weight_contacts.empty() ||
-                             request_has_greens(request);
-    if (want_charge) charge_gathered = comm.gatherv(local.charge_samples, 0);
-    const auto rank_stats = comm.gatherv(
-        {local.busy_seconds, static_cast<double>(local.tasks),
-         static_cast<double>(local.batches),
-         static_cast<double>(local.batched_tasks),
-         static_cast<double>(local.prefetch_hits),
-         static_cast<double>(local.prefetch_misses),
-         static_cast<double>(local.greens_tasks),
-         static_cast<double>(local.device_batches),
-         static_cast<double>(local.residency_hits),
-         static_cast<double>(local.residency_misses)},
-        0);
-
-    if (wr == 0) {
-      for (std::size_t i = 0; i + stride <= gathered.size(); i += stride) {
-        const auto [ik, ie] = lay.unflatten(static_cast<idx>(gathered[i]));
-        const auto sk = static_cast<std::size_t>(ik);
-        const auto se = static_cast<std::size_t>(ie);
-        out.transmission[sk][se] = gathered[i + 1];
-        out.caroli[sk][se] = gathered[i + 2];
-        out.propagating[sk][se] = static_cast<idx>(gathered[i + 3]);
-        // stride > 4 carries the row-major ncon x ncon pairwise T matrix.
-        for (std::size_t q = 0; q + 4 < stride; ++q)
-          out.t_matrix[sk][se][q] = gathered[i + 4 + q];
-      }
-      if (want_charge) {
-        // Deterministic charge: per-task contributions summed in flat task
-        // order, independent of which rank solved what (work stealing
-        // moves tasks between ranks run to run; mirrors run_flat).
-        const std::size_t rec = 1 + static_cast<std::size_t>(request.cells);
-        std::vector<std::vector<double>> per_task(
-            static_cast<std::size_t>(lay.total_tasks));
-        for (std::size_t i = 0; i + rec <= charge_gathered.size(); i += rec)
-          per_task[static_cast<std::size_t>(charge_gathered[i])].assign(
-              charge_gathered.begin() + static_cast<std::ptrdiff_t>(i + 1),
-              charge_gathered.begin() + static_cast<std::ptrdiff_t>(i + rec));
-        for (const auto& pc : per_task)
-          for (std::size_t c = 0; c < pc.size(); ++c) out.charge[c] += pc[c];
-      }
-      out.stats.ranks = lay.world;
-      out.stats.energy_groups = lay.num_leaders;
-      out.stats.tasks_total = lay.total_tasks;
-      out.stats.tasks_stolen = co.stolen;
-      out.stats.tasks_per_rank.clear();
-      out.stats.busy_seconds_per_rank.clear();
-      idx batched_tasks_total = 0;
-      constexpr std::size_t kStatsStride = 10;
-      for (std::size_t r = 0; kStatsStride * r + 9 < rank_stats.size(); ++r) {
-        const std::size_t base = kStatsStride * r;
-        out.stats.busy_seconds_per_rank.push_back(rank_stats[base]);
-        out.stats.tasks_per_rank.push_back(
-            static_cast<idx>(rank_stats[base + 1]));
-        out.stats.batches_issued += static_cast<idx>(rank_stats[base + 2]);
-        batched_tasks_total += static_cast<idx>(rank_stats[base + 3]);
-        out.stats.prefetch_hits += static_cast<idx>(rank_stats[base + 4]);
-        out.stats.prefetch_misses +=
-            static_cast<idx>(rank_stats[base + 5]);
-        out.stats.tasks_greens += static_cast<idx>(rank_stats[base + 6]);
-        out.stats.device_batches += static_cast<idx>(rank_stats[base + 7]);
-        out.stats.residency_hits += static_cast<idx>(rank_stats[base + 8]);
-        out.stats.residency_misses +=
-            static_cast<idx>(rank_stats[base + 9]);
-      }
-      if (out.stats.batches_issued > 0)
-        out.stats.mean_batch_size =
-            static_cast<double>(batched_tasks_total) /
-            static_cast<double>(out.stats.batches_issued);
+    // --- assembly: rooted collectives (the root's own buffers at size 1)
+    if (lay.world == 1) {
+      assemble(lay, request, local.samples, local.charge_samples,
+               pack_stats(local), co.stolen, out);
+    } else {
+      const auto samples = comm.gatherv(local.samples, 0);
+      const auto charge =
+          want_charge ? comm.gatherv(local.charge_samples, 0)
+                      : std::vector<double>{};
+      const auto rank_stats = comm.gatherv(pack_stats(local), 0);
+      if (wr == 0)
+        assemble(lay, request, samples, charge, rank_stats, co.stolen, out);
     }
 
     // The protocol is drained and every collective matched; now the error

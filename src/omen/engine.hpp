@@ -18,12 +18,20 @@
 //     members compute their share of the SPIKE partitions on their own copy
 //     of A = E*S - H (solvers::spike_partition_owner) — one task, many
 //     ranks, bit-identical to the width-1 solve for equal partition counts.
-// Inputs travel once: the root sends each momentum-group leader its lead
-// blocks, the leader rebroadcasts inside the group (broadcast_lead_blocks);
-// a stolen k's blocks are fetched from the coordinator on first use and
-// cached.  Results return through the rooted collectives (gatherv /
-// reduce), assembled deterministically by flat task index, so the spectrum
-// is identical for any world size.
+// Every leader buffers its tasks into a bucket keyed by (block shape, task
+// kind) and flushes it either through the batched pipeline (solvers that
+// advertise kBatchable) or as one thread-pool loop on the workers'
+// thread-local contexts.  Inputs travel once: the root sends each
+// momentum-group leader its lead blocks, the leader rebroadcasts inside the
+// group (broadcast_lead_blocks); a stolen k's blocks are fetched from the
+// coordinator on first use and cached.  Results return through gatherv,
+// assembled deterministically by flat task index, so the spectrum is
+// identical for any world size.
+//
+// World size 1 is the same loop with an in-process queue: rank 0's leader
+// takes its tasks straight from the coordinator it owns (so do its stolen
+// blocks), the queue service thread starts only when another leader
+// exists, and assembly reads the leader's own buffers instead of a gather.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +60,6 @@ struct EngineConfig {
   /// are bit-identical across widths for equal partition counts.
   int ranks_per_energy_group = 1;
   bool work_stealing = true;       ///< hand idle groups other k's points
-  /// Size-1 worlds default to the flat thread-pool loop (the degenerate
-  /// case preserves the single-process behavior and its intra-process
-  /// parallelism).  Benchmarks force the rank protocol to get an honest
-  /// serial baseline.
-  bool flat_single_rank = true;
   /// Per-rank OBC boundary caches, persistent across run() calls: the lead
   /// eigenproblem at a (k, E, contact-shift) key is solved once per rank
   /// and reused by every later sweep that revisits the point (SCF outer
@@ -70,11 +73,12 @@ struct EngineConfig {
   /// / block-LU factorizations as single batched calls.  Only solvers
   /// advertising kBatchable participate; spatial groups (width > 1) always
   /// solve cooperatively, one point at a time.  Bit-identical to the
-  /// unbatched path, task by task.  Off = solve_energy_point per task
-  /// (benchmark baseline).
+  /// unbatched path, task by task.  Off = every bucket runs as a
+  /// thread-pool loop of solve_energy_point calls (benchmark baseline).
   bool batch_tasks = true;
-  /// Batch capacity — how many queued tasks one leader accumulates before
-  /// issuing a batched call.  Also the *nominal* batch fed to kAuto
+  /// Bucket capacity — how many queued tasks one leader accumulates before
+  /// a batched call (a thread-pool bucket holds this many per pool thread
+  /// of the leader's share).  Also the *nominal* batch fed to kAuto
   /// resolution (rank-invariant, never the actual bucket fill, so every
   /// rank resolves the same backend).
   int max_batch = 16;
@@ -176,7 +180,10 @@ struct EngineStats {
   idx tasks_greens = 0;              ///< contour (complex-node) solves within
   idx tasks_stolen = 0;              ///< served outside the group's own k
   std::vector<idx> tasks_per_rank;
-  std::vector<double> busy_seconds_per_rank;  ///< time inside solves
+  /// Wall seconds each rank spent solving: a leader's flushes and
+  /// cooperative solves, a spatial member's served partitions.  Each entry
+  /// is at most wall_seconds, however many pool threads a flush used.
+  std::vector<double> busy_seconds_per_rank;
   double wall_seconds = 0.0;
   // --- batched-execution counters (zero when batch_tasks is off or the
   // resolved solver lacks kBatchable) ---------------------------------
@@ -226,11 +233,11 @@ class Engine {
 
   const EngineConfig& config() const noexcept { return config_; }
 
-  /// Run the full sweep over a fresh CommWorld of config().num_ranks ranks
-  /// (or the flat in-process loop for the degenerate single-rank case).
-  /// A throwing solve or transfer on any rank drains the queue protocol and
-  /// the assembly collectives before surfacing here as an exception — the
-  /// world never deadlocks on a failed rank.
+  /// Run the full sweep over a fresh CommWorld of config().num_ranks ranks;
+  /// size 1 runs the same task loop with an in-process queue and sends no
+  /// message.  A throwing solve or transfer on any rank drains the queue
+  /// protocol and the assembly collectives before surfacing here as an
+  /// exception — the world never deadlocks on a failed rank.
   SweepResult run(const SweepRequest& request);
 
   /// Drop every rank's cached boundaries *and* device-resident operands.
@@ -248,8 +255,7 @@ class Engine {
   obc::BoundaryCache::Stats contact_boundary_cache_stats(int contact) const;
 
  private:
-  SweepResult run_flat(const SweepRequest& request);
-  SweepResult run_distributed(const SweepRequest& request);
+  SweepResult sweep(const SweepRequest& request);
   /// Rank `rank`'s persistent cache, or nullptr when caching is off.
   obc::BoundaryCache* rank_cache(int rank) const;
   /// Rank `rank`'s persistent device-residency cache, or nullptr when the
@@ -258,8 +264,8 @@ class Engine {
 
   EngineConfig config_;
   parallel::DevicePool* pool_;
-  /// One cache per world rank (index 0 doubles as the flat loop's cache),
-  /// created up front so rank threads never race on the vector.
+  /// One cache per world rank, created up front so rank threads never race
+  /// on the vector.
   std::vector<std::unique_ptr<obc::BoundaryCache>> caches_;
   /// One device-residency cache per world rank, same indexing and lifetime
   /// discipline as caches_: the pool's devices outlive every run(), so

@@ -262,8 +262,8 @@ Spectrum Simulator::transmission_spectrum(
 
   // The (k, E) sweep runs on the distribution engine (Fig. 9 levels 1-2):
   // momentum groups sized by allocate_groups, energy groups pulling points
-  // from the shared queue.  With num_ranks = 1 this degenerates to the
-  // flat in-process thread-pool loop.
+  // from the shared queue.  With num_ranks = 1 the same loop runs on an
+  // in-process queue.
   SweepRequest req;
   req.leads = &lead_;
   req.folded = &folded_;

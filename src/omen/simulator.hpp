@@ -9,8 +9,8 @@
 // execution engine (omen/engine.hpp): momentum groups sized by the dynamic
 // allocation, energy groups pulling from the shared work queue, and with
 // ranks_per_energy_group > 1 each solve split spatially across the group's
-// ranks — the three-level parallelism of Fig. 9.  num_ranks = 1 is the
-// degenerate single-process case.
+// ranks — the three-level parallelism of Fig. 9.  num_ranks = 1 runs the
+// same task loop with an in-process queue.
 #pragma once
 
 #include <memory>
@@ -76,8 +76,9 @@ struct SimulationConfig {
   int num_devices = 2;    ///< emulated accelerators
   double temperature_k = 300.0;
   /// Distribution (Fig. 9): communicator ranks for the momentum/energy
-  /// hierarchy.  1 = the degenerate single-process case (flat thread-pool
-  /// loop, the pre-engine behavior).
+  /// hierarchy.  1 = one rank on the calling thread, the same task loop
+  /// with an in-process queue (its buckets still fan out over the thread
+  /// pool).
   int num_ranks = 1;
   /// Energy-group width (Fig. 9's spatial level): > 1 makes the
   /// cooperative backends (spike, splitsolve) split each (k, E) solve's

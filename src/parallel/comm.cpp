@@ -149,7 +149,7 @@ void Comm::bcast(std::vector<double>& data, int root) {
 
 void Comm::bcast(numeric::CMatrix& m, int root) {
   std::vector<double> buf;
-  if (rank_ == root) buf = pack_matrix(m);
+  if (rank_ == root && size() > 1) buf = pack_matrix(m);
   bcast(buf, root);
   if (rank_ != root) unpack_matrix(buf, m);
 }
@@ -384,6 +384,11 @@ CommWorld::CommWorld(int size) : size_(size) {
 
 void CommWorld::run(const std::function<void(Comm&)>& fn) {
   auto state = std::make_shared<detail::CommState>(size_);
+  if (size_ == 1) {  // a lone rank runs on the caller's thread
+    Comm comm(state, 0);
+    fn(comm);
+    return;
+  }
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(size_));
   std::mutex err_mutex;

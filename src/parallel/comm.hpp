@@ -167,7 +167,8 @@ class CommWorld {
 
   int size() const noexcept { return size_; }
 
-  /// Launch `fn(comm)` on `size` rank-threads.
+  /// Launch `fn(comm)` on `size` rank-threads; a size-1 world runs it on
+  /// the calling thread.
   void run(const std::function<void(Comm&)>& fn);
 
  private:

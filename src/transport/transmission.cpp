@@ -935,6 +935,19 @@ std::vector<cplx> matsubara_poles(double mu, double kt, int n) {
   return out;
 }
 
+namespace {
+
+/// One pair's current at one energy, w [T_pq f_p - T_qp f_q]: the single
+/// expression both landauer_current and buttiker_currents evaluate, so the
+/// two-terminal Buettiker sum equals the Landauer integral bit for bit
+/// whatever the compiler contracts into FMAs.
+double pair_current(double w, double t_pq, double t_qp, double f_p,
+                    double f_q) {
+  return w * (t_pq * f_p - t_qp * f_q);
+}
+
+}  // namespace
+
 double landauer_current(const std::vector<double>& energies,
                         const std::vector<double>& transmission, double mu_l,
                         double mu_r, double kt) {
@@ -945,8 +958,9 @@ double landauer_current(const std::vector<double>& energies,
   const std::vector<double> w = trapezoid_weights(energies);
   double current = 0.0;
   for (std::size_t i = 0; i < energies.size(); ++i)
-    current += w[i] * transmission[i] *
-               (fermi(energies[i], mu_l, kt) - fermi(energies[i], mu_r, kt));
+    current += pair_current(w[i], transmission[i], transmission[i],
+                            fermi(energies[i], mu_l, kt),
+                            fermi(energies[i], mu_r, kt));
   return current;
 }
 
@@ -976,7 +990,8 @@ std::vector<double> buttiker_currents(
       const double fp = fermi(energies[i], mu[p], kt);
       for (std::size_t q = p + 1; q < nc; ++q) {
         const double fq = fermi(energies[i], mu[q], kt);
-        const double c = w[i] * (t[p * nc + q] * fp - t[q * nc + p] * fq);
+        const double c = pair_current(w[i], t[p * nc + q], t[q * nc + p],
+                                      fp, fq);
         out[p] += c;
         out[q] -= c;
       }

@@ -245,56 +245,6 @@ std::vector<EnergyPointResult> sweep_energy_points(
     parallel::DevicePool* pool = nullptr,
     parallel::ThreadPool* threads = nullptr);
 
-/// Per-group energy-sweep entry point: binds one device's matrices and the
-/// solve options to a reusable context, so a distribution layer
-/// (omen::Engine) can solve whatever points the work queue hands its rank —
-/// in any order, allocation-free in steady state.  The referenced matrices,
-/// context, and pool must outlive the worker.
-class EnergySweepWorker {
- public:
-  EnergySweepWorker(EnergyPointContext& ctx, const dft::DeviceMatrices& dm,
-                    const dft::LeadBlocks& lead, const dft::FoldedLead& folded,
-                    const EnergyPointOptions& options,
-                    parallel::DevicePool* pool = nullptr)
-      : ctx_(ctx), dm_(dm), lead_(&lead), folded_(&folded), options_(options),
-        pool_(pool) {}
-
-  /// N-terminal variant: the worker routes every point through the
-  /// ContactSet entry (whose symmetric-classic case is the constructor
-  /// above's path, bit for bit).  The set's leads/folded must outlive the
-  /// worker; the set itself is copied.
-  EnergySweepWorker(EnergyPointContext& ctx, const dft::DeviceMatrices& dm,
-                    ContactSet contacts, const EnergyPointOptions& options,
-                    parallel::DevicePool* pool = nullptr)
-      : ctx_(ctx), dm_(dm), contacts_(std::move(contacts)), options_(options),
-        pool_(pool) {}
-
-  EnergyPointResult solve(double energy) {
-    if (!contacts_.empty())
-      return solve_energy_point(ctx_, dm_, contacts_, energy, options_, pool_);
-    return solve_energy_point(ctx_, dm_, *lead_, *folded_, energy, options_,
-                              pool_);
-  }
-
-  std::vector<cplx> solve_greens(cplx energy,
-                                 const EnergyPointOptions& options) {
-    if (!contacts_.empty())
-      return solve_greens_diagonal(ctx_, dm_, contacts_, energy, options);
-    return solve_greens_diagonal(ctx_, dm_, *lead_, *folded_, energy, options);
-  }
-
-  const ContactSet& contacts() const noexcept { return contacts_; }
-
- private:
-  EnergyPointContext& ctx_;
-  const dft::DeviceMatrices& dm_;
-  const dft::LeadBlocks* lead_ = nullptr;
-  const dft::FoldedLead* folded_ = nullptr;
-  ContactSet contacts_;  ///< empty = classic two-identical-contacts mode
-  EnergyPointOptions options_;
-  parallel::DevicePool* pool_;
-};
-
 /// Member-side counterpart of a cooperative spatial solve: assemble this
 /// rank's copy of A = E*S - H for the point, compute the SPIKE partitions
 /// spike_partition_owner assigns to this rank, and send them to spatial

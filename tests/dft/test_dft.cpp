@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "dft/basis.hpp"
 #include "dft/gaussian.hpp"
@@ -116,6 +117,19 @@ TEST(Hamiltonian, FoldedOverlapIsPositiveDefinite) {
   const auto lead = df::build_lead_blocks(tiny_wire(2), lib);
   const auto folded = df::fold_lead(lead);
   EXPECT_TRUE(nm::is_hpd(folded.s00));
+}
+
+TEST(Hamiltonian, ZPeriodicStructureWithoutPeriodIsRejected) {
+  // The transverse image count is cutoff / z_period: a z-periodic cell left
+  // at the default z_period = 0 has no meaningful image sum, and must fail
+  // loudly instead of overflowing the image range.
+  df::BasisLibrary lib;
+  lt::Structure s = tiny_wire(2);
+  s.periodicity = lt::Periodicity::kZ;
+  s.z_period = 0.0;
+  EXPECT_THROW(df::build_lead_blocks(s, lib), std::invalid_argument);
+  s.z_period = s.cell_length;
+  EXPECT_NO_THROW(df::build_lead_blocks(s, lib));
 }
 
 TEST(Hamiltonian, DftHasFarMoreNonzerosThanTightBinding) {

@@ -170,8 +170,9 @@ TEST(EngineBatch, PrefetchHitsCachedBoundariesOnRepeatSweeps) {
 }
 
 TEST(EngineBatch, NonBatchableSolverDegradesToUnbatchedPath) {
-  // BCR advertises no kBatchable: batch_tasks stays inert (the flat loop
-  // keeps its per-task parallelism) and the spectra still match.
+  // BCR advertises no kBatchable: batch_tasks stays inert (every leader
+  // flushes its buckets as thread-pool loops of per-task solves, at any
+  // world size) and the spectra still match.
   const idx s = 4, cells = 8;
   std::vector<df::LeadBlocks> leads{synthetic_lead(s, 33)};
   om::SweepRequest req;
@@ -198,8 +199,7 @@ TEST(EngineBatch, NonBatchableSolverDegradesToUnbatchedPath) {
   expect_same_spectra(got, ref, "bcr");
   EXPECT_EQ(got.stats.batches_issued, 0);
 
-  // The distributed leader still routes through the pipeline (its scalar
-  // fallback), which must also be invisible.
+  // The same flush on two ranks must also be invisible.
   om::EngineConfig dcfg;
   dcfg.num_ranks = 2;
   dcfg.batch_tasks = true;

@@ -33,7 +33,10 @@ lt::Structure chain_structure(idx cells, bool periodic = false) {
   s.cell_length = 0.5;
   s.num_cells = cells;
   s.name = "engine test chain";
-  if (periodic) s.periodicity = lt::Periodicity::kZ;
+  if (periodic) {
+    s.periodicity = lt::Periodicity::kZ;
+    s.z_period = s.cell_length;
+  }
   return s;
 }
 
@@ -74,7 +77,7 @@ tr::EnergyPointOptions cheap_options() {
 
 TEST(Engine, SpectrumIdenticalAcrossWorldSizes) {
   // The acceptance bar: T(E) from the quickstart-style device must be
-  // bit-identical for CommWorld sizes 1 (flat degenerate loop), 2, and 7.
+  // bit-identical for CommWorld sizes 1, 2, and 7.
   const idx nk = 3;
   om::SimulationConfig cfg = chain_config(8, nk);
   om::Simulator reference(cfg);
@@ -173,29 +176,6 @@ TEST(Engine, WorkStealingBalancesImbalancedGrids) {
   for (std::size_t k = 0; k < 4; ++k)
     for (std::size_t ie = 0; ie < req.energies[k].size(); ++ie)
       EXPECT_DOUBLE_EQ(dy.caroli[k][ie], st.caroli[k][ie]);
-}
-
-TEST(Engine, ForcedProtocolMatchesFlatLoop) {
-  // flat_single_rank = false runs the full request/assign protocol on one
-  // rank (coordinator + worker on the same thread pair) — the benchmark's
-  // serial baseline.  It must agree bit-for-bit with the flat loop.
-  std::vector<df::LeadBlocks> leads{synthetic_lead(5, 77)};
-  om::SweepRequest req;
-  req.leads = &leads;
-  req.cells = 10;
-  req.potential.assign(10, 0.0);
-  req.point = cheap_options();
-  req.energies = {{-1.5, -0.5, 0.0, 0.5, 1.5}};
-
-  om::Engine flat(om::EngineConfig{});
-  om::EngineConfig pcfg;
-  pcfg.flat_single_rank = false;
-  om::Engine protocol(pcfg);
-  const auto a = flat.run(req);
-  const auto b = protocol.run(req);
-  ASSERT_EQ(a.caroli[0].size(), b.caroli[0].size());
-  for (std::size_t i = 0; i < a.caroli[0].size(); ++i)
-    EXPECT_DOUBLE_EQ(a.caroli[0][i], b.caroli[0][i]);
 }
 
 TEST(Engine, ChargeDensityConsistentAcrossWorldSizes) {
@@ -416,8 +396,8 @@ TEST(Engine, CachedSweepsBitIdenticalAcrossWorldSizesAndStealing) {
 
 TEST(Engine, SigmaOnlyObcDensityRequestFailsLoudlyAndDrains) {
   // Decimation provides no injection states: a charge-carrying sweep must
-  // surface std::invalid_argument — from the flat loop and from every rank
-  // topology — instead of silently integrating zero density (and the world
+  // surface std::invalid_argument — from every rank topology, size 1
+  // included — instead of silently integrating zero density (and the world
   // must drain, not hang).
   om::SimulationConfig cfg = chain_config(8, 1);
   cfg.point.obc = tr::ObcAlgorithm::kDecimation;
@@ -548,7 +528,7 @@ TEST(Engine, RejectsBadRequests) {
 TEST(Engine, GreensTasksBitIdenticalAcrossWorldSizesAndStealing) {
   // Contour charge nodes ride the same queue as real-axis tasks: a hot k
   // full of Green's-function nodes must distribute, steal, and assemble
-  // bit-identically to the flat loop at any world size.
+  // bit-identically to the default engine at any world size.
   const idx s = 5, cells = 10;
   std::vector<df::LeadBlocks> leads;
   for (unsigned k = 0; k < 4; ++k)
@@ -582,7 +562,6 @@ TEST(Engine, GreensTasksBitIdenticalAcrossWorldSizesAndStealing) {
       om::EngineConfig cfg;
       cfg.num_ranks = ranks;
       cfg.work_stealing = stealing;
-      cfg.flat_single_rank = false;  // force the rank protocol even at 1
       om::Engine engine(cfg);
       const auto res = engine.run(req);
       EXPECT_EQ(res.stats.tasks_greens, 29) << "ranks=" << ranks;
@@ -592,6 +571,47 @@ TEST(Engine, GreensTasksBitIdenticalAcrossWorldSizesAndStealing) {
             << "ranks=" << ranks << " stealing=" << stealing << " cell " << c;
       if (ranks == 4 && stealing) EXPECT_GT(res.stats.tasks_stolen, 0);
     }
+  }
+}
+
+TEST(Engine, RankBusySecondsNeverExceedWall) {
+  // A rank's busy time is the wall time its leader spends solving, so it is
+  // bounded by the sweep's wall time however many pool threads a flush of
+  // Green's-function nodes fans out to: the figure is the rank efficiency
+  // of Fig. 9, not thread occupancy.
+  const idx s = 8, cells = 16;
+  std::vector<df::LeadBlocks> leads;
+  for (unsigned k = 0; k < 4; ++k)
+    leads.push_back(synthetic_lead(s, 131 + 5 * k));
+  om::SweepRequest req;
+  req.leads = &leads;
+  req.cells = cells;
+  req.potential.assign(static_cast<std::size_t>(cells), 0.0);
+  req.point = cheap_options();
+  req.energies.resize(4);
+  req.gf_nodes.resize(4);
+  req.gf_weights.resize(4);
+  for (std::size_t k = 0; k < 4; ++k)
+    for (int in = 0; in < 48; ++in) {
+      req.gf_nodes[k].push_back(cplx{-1.8 + 0.075 * in, 0.2 + 0.005 * in});
+      req.gf_weights[k].push_back(cplx{0.02, -0.01});
+    }
+
+  for (const int ranks : {1, 4}) {
+    om::EngineConfig cfg;
+    cfg.num_ranks = ranks;
+    om::Engine engine(cfg);
+    const auto res = engine.run(req);
+    EXPECT_EQ(res.stats.tasks_greens, 4 * 48);
+    ASSERT_EQ(res.stats.busy_seconds_per_rank.size(),
+              static_cast<std::size_t>(ranks));
+    double busy = 0.0;
+    for (std::size_t r = 0; r < res.stats.busy_seconds_per_rank.size(); ++r) {
+      EXPECT_LE(res.stats.busy_seconds_per_rank[r], res.stats.wall_seconds)
+          << "ranks=" << ranks << " rank " << r;
+      busy += res.stats.busy_seconds_per_rank[r];
+    }
+    EXPECT_GT(busy, 0.0) << "ranks=" << ranks;
   }
 }
 

@@ -34,7 +34,10 @@ lt::Structure chain_structure(idx cells, double cell_length = 0.5,
   s.cell_length = cell_length;
   s.num_cells = cells;
   s.name = "multi-terminal test chain";
-  if (periodic) s.periodicity = lt::Periodicity::kZ;
+  if (periodic) {
+    s.periodicity = lt::Periodicity::kZ;
+    s.z_period = s.cell_length;
+  }
   return s;
 }
 
